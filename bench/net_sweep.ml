@@ -112,9 +112,7 @@ let run_config idx c =
       ~batch:c.batch ()
   in
   let backend ~on_step = Net.Backend.seq ~on_step cfg in
-  let srv =
-    Net.Server.create ~flush_ms:2 ~backend (Net.Addr.Unix_path (sock_path idx))
-  in
+  let srv = Net.Server.create ~backend (Net.Addr.Unix_path (sock_path idx)) in
   Net.Server.start srv;
   let dres =
     Net.Driver.run

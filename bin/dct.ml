@@ -410,8 +410,8 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
-    cross_shard oracle gc_index domains replay differential listen flush_ms
-    trace metrics_on json =
+    cross_shard oracle gc_index domains replay differential listen trace
+    metrics_on json =
   let module Eng = Dct_engine.Engine in
   let module Par = Dct_engine.Parallel in
   let partitioner =
@@ -491,7 +491,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
       | None -> Dct_net.Backend.seq ~on_step cfg
       | Some mode -> Dct_net.Backend.parallel ~mode ~on_step cfg
     in
-    let srv = Dct_net.Server.create ~flush_ms ~backend addr in
+    let srv = Dct_net.Server.create ~backend addr in
     let stop_requested = ref false in
     let on_signal = Sys.Signal_handle (fun _ -> stop_requested := true) in
     Sys.set_signal Sys.sigint on_signal;
@@ -499,12 +499,12 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     let t0 = Unix.gettimeofday () in
     Dct_net.Server.start srv;
     Printf.printf
-      "dct: serve: listening on %s (%s backend, %d shard(s), batch %d, \
-       flush %d ms); Ctrl-C to stop\n\
+      "dct: serve: listening on %s (%s backend, %d shard(s), batch %d); \
+       Ctrl-C to stop\n\
        %!"
       (Dct_net.Addr.to_string (Dct_net.Server.addr srv))
       (Dct_net.Backend.name (Dct_net.Server.backend srv))
-      shards batch flush_ms;
+      shards batch;
     while not !stop_requested do
       Thread.delay 0.1
     done;
@@ -806,16 +806,6 @@ let serve_cmd =
              decision back to the issuing client.  Runs until SIGINT, \
              then prints the usual report.")
   in
-  let flush_ms_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "flush-ms" ] ~docv:"MS"
-          ~doc:
-            "Group-commit flush interval for --listen: a partial \
-             admission batch waits at most $(docv) ms before being \
-             processed.  0 disables the timer (batches flush only when \
-             full or on control requests).")
-  in
   let trace_arg =
     Arg.(
       value
@@ -852,7 +842,7 @@ let serve_cmd =
       const serve $ shards $ batch $ policy_arg $ partitioner_arg $ steps
       $ txns $ entities $ mpl $ skew $ seed $ cross_shard $ oracle_arg
       $ gc_index_arg $ domains_arg $ replay_arg $ differential $ listen_arg
-      $ flush_ms_arg $ trace_arg $ metrics_arg $ json_arg)
+      $ trace_arg $ metrics_arg $ json_arg)
 
 (* --- client --- *)
 
@@ -930,7 +920,7 @@ let client_cmd =
 (* --- bench-net --- *)
 
 let bench_net mix_spec clients txns_per_client keys shards batch policy
-    gc_index domains replay flush_ms dialect_line seed json =
+    gc_index domains replay dialect_line seed json =
   let module Eng = Dct_engine.Engine in
   let module Par = Dct_engine.Parallel in
   let module Net = Dct_net in
@@ -968,7 +958,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dct-bench-%d.sock" (Unix.getpid ()))
   in
-  let srv = Net.Server.create ~flush_ms ~backend (Net.Addr.Unix_path sock) in
+  let srv = Net.Server.create ~backend (Net.Addr.Unix_path sock) in
   Net.Server.start srv;
   let dialect = if dialect_line then Net.Wire.Line else Net.Wire.Binary in
   let dcfg =
@@ -1085,12 +1075,6 @@ let bench_net_cmd =
             "Serve from the parallel engine's deterministic interleaving \
              simulator; overrides --domains.")
   in
-  let flush_ms_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "flush-ms" ] ~docv:"MS"
-          ~doc:"Group-commit flush interval (0 disables the timer).")
-  in
   let dialect_line =
     Arg.(
       value & flag
@@ -1111,8 +1095,8 @@ let bench_net_cmd =
           residency high-water marks")
     Term.(
       const bench_net $ mix $ clients $ txns $ keys $ shards $ batch
-      $ policy_arg $ gc_index_arg $ domains_arg $ replay_arg $ flush_ms_arg
-      $ dialect_line $ seed $ json_arg)
+      $ policy_arg $ gc_index_arg $ domains_arg $ replay_arg $ dialect_line
+      $ seed $ json_arg)
 
 (* --- trace --- *)
 

@@ -18,12 +18,16 @@ val parallel : ?mode:Dct_engine.Parallel.mode -> on_step:on_step -> Dct_engine.E
 val name : t -> string
 val submit : t -> Dct_txn.Step.t -> unit
 val tick : t -> unit
-(** Flush the pending partial admission batch (the group-commit
-    timer). *)
+(** Flush the pending partial admission batch (the server calls it when
+    its input drains). *)
 
 val abort : t -> int -> bool
 val pending : t -> int
+
 val stats : t -> (string * int) list
+(** A counter snapshot; both backends include the admission counters
+    [full_batches] and [ticks], named and counted as in
+    {!Dct_engine.Engine.report}. *)
 
 val finish : t -> wall_seconds:float -> Dct_engine.Engine.report
 (** End-of-input epilogue; call exactly once, after the last submit.

@@ -6,6 +6,7 @@ type client = {
   c_wlock : Mutex.t;
   mutable c_alive : bool;
   c_txns : (int, unit) Hashtbl.t;  (** begun, not yet completed/aborted *)
+  mutable c_busy : bool;  (** counted in [busy]; under [lock] *)
 }
 
 type t = {
@@ -17,10 +18,10 @@ type t = {
       (** issuing client of each submitted-but-undecided step, in
           submission order; pushed and popped under [lock] (outcomes
           fire during submit/tick, which hold it) *)
-  flush_ms : int;
+  mutable busy : int;
+      (** handlers with another complete request buffered; under [lock] *)
   mutable running : bool;
   mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
   threads_lock : Mutex.t;
   mutable client_threads : Thread.t list;
   mutable live_clients : client list;
@@ -45,7 +46,7 @@ let send_to c resp =
     Mutex.unlock c.c_wlock
   end
 
-let create ?(flush_ms = 20) ~backend addr =
+let create ~backend addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd, bound = Addr.listen addr in
@@ -61,10 +62,9 @@ let create ?(flush_ms = 20) ~backend addr =
     backend = backend ~on_step;
     lock = Mutex.create ();
     waiters;
-    flush_ms;
+    busy = 0;
     running = false;
     accept_thread = None;
-    ticker_thread = None;
     threads_lock = Mutex.create ();
     client_threads = [];
     live_clients = [];
@@ -83,7 +83,23 @@ let step_of_request = function
   | Wire.Complete txn -> Some (Step.Write (txn, []))
   | Wire.Abort _ | Wire.Stats -> None
 
-let handle_request t c req =
+(* Group commit without a timer, under [t.lock] after each request of
+   [c]'s.  [more]: [c] has another complete frame buffered, so it stays
+   busy and its next request may still join this batch.  Otherwise its
+   handler is about to block in read; if then no handler is busy, no
+   one holds input that could fill the batch, so it is flushed.  Hence
+   whenever no handler is busy, nothing is pending, and no step ever
+   waits for a flush that only more input could trigger.  A request a
+   handler has read but not yet submitted needs no count: its own
+   [settle] comes after its submit. *)
+let settle t c ~more =
+  if more <> c.c_busy then begin
+    c.c_busy <- more;
+    t.busy <- (t.busy + if more then 1 else -1)
+  end;
+  if t.busy = 0 && Backend.pending t.backend > 0 then Backend.tick t.backend
+
+let handle_request t c req ~more =
   match step_of_request req with
   | Some step ->
       (match req with
@@ -94,7 +110,8 @@ let handle_request t c req =
           (* push before submit: a full batch decides this step — and
              routes its outcome — before submit returns *)
           Queue.push c t.waiters;
-          Backend.submit t.backend step)
+          Backend.submit t.backend step;
+          settle t c ~more)
   | None -> (
       match req with
       | Wire.Abort txn ->
@@ -103,7 +120,9 @@ let handle_request t c req =
           let b =
             locked t (fun () ->
                 Backend.tick t.backend;
-                Backend.abort t.backend txn)
+                let b = Backend.abort t.backend txn in
+                settle t c ~more;
+                b)
           in
           Hashtbl.remove c.c_txns txn;
           send_to c (Wire.Abort_reply b)
@@ -111,6 +130,7 @@ let handle_request t c req =
           let stats =
             locked t (fun () ->
                 Backend.tick t.backend;
+                settle t c ~more;
                 Backend.stats t.backend)
           in
           send_to c
@@ -124,18 +144,28 @@ let handle_request t c req =
 
 (* A dying client's begun-but-incomplete transactions are aborted so
    they cannot pin deletability forever (the engine treats any later
-   queued steps of theirs as [Ignored]). *)
+   queued steps of theirs as [Ignored]).  A handler can die busy (a
+   protocol error after a buffered frame, an exception); it settles
+   here, or no later flush would ever come. *)
 let cleanup_client t c =
   c.c_alive <- false;
   let orphans = Hashtbl.fold (fun txn () acc -> txn :: acc) c.c_txns [] in
-  if orphans <> [] then
-    locked t (fun () ->
-        List.iter (fun txn -> ignore (Backend.abort t.backend txn)) orphans);
   Hashtbl.reset c.c_txns;
-  (try Unix.close (Wire.Io.fd c.c_io) with Unix.Unix_error _ -> ());
-  Mutex.lock t.threads_lock;
-  t.live_clients <- List.filter (fun c' -> c' != c) t.live_clients;
-  Mutex.unlock t.threads_lock
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close (Wire.Io.fd c.c_io) with Unix.Unix_error _ -> ());
+      Mutex.lock t.threads_lock;
+      t.live_clients <- List.filter (fun c' -> c' != c) t.live_clients;
+      Mutex.unlock t.threads_lock)
+    (fun () ->
+      locked t (fun () ->
+          if orphans <> [] then begin
+            (* flush first: an orphan whose [Begin] is still queued
+               would otherwise begin after its abort, and stay *)
+            Backend.tick t.backend;
+            List.iter (fun txn -> ignore (Backend.abort t.backend txn)) orphans
+          end;
+          settle t c ~more:false))
 
 let client_loop t c =
   match Wire.Io.sniff_dialect c.c_io with
@@ -145,7 +175,7 @@ let client_loop t c =
       let rec loop () =
         match Wire.Io.read_request c.c_io dialect with
         | Ok req ->
-            handle_request t c req;
+            handle_request t c req ~more:(Wire.Io.has_frame c.c_io dialect);
             loop ()
         | Error Wire.Closed -> ()
         | Error e ->
@@ -168,6 +198,7 @@ let accept_loop t =
             c_wlock = Mutex.create ();
             c_alive = true;
             c_txns = Hashtbl.create 8;
+            c_busy = false;
           }
         in
         Mutex.lock t.threads_lock;
@@ -180,20 +211,10 @@ let accept_loop t =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-let ticker_loop t =
-  let delay = float_of_int t.flush_ms /. 1000. in
-  while t.running do
-    Thread.delay delay;
-    if t.running then
-      locked t (fun () ->
-          if Backend.pending t.backend > 0 then Backend.tick t.backend)
-  done
-
 let start t =
   if t.running then invalid_arg "Server.start: already running";
   t.running <- true;
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  if t.flush_ms > 0 then t.ticker_thread <- Some (Thread.create ticker_loop t)
+  t.accept_thread <- Some (Thread.create accept_loop t)
 
 let stop t =
   if t.running then begin
@@ -203,9 +224,7 @@ let stop t =
      with Unix.Unix_error _ -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Option.iter Thread.join t.accept_thread;
-    Option.iter Thread.join t.ticker_thread;
     t.accept_thread <- None;
-    t.ticker_thread <- None;
     (* wake handler threads blocked in read, then wait for them *)
     Mutex.lock t.threads_lock;
     let live = t.live_clients and threads = t.client_threads in

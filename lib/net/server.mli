@@ -4,12 +4,19 @@
 
     Threading model (see [docs/net.md]):
 
-    - one accept thread, one handler thread per connection, and an
-      optional group-commit ticker that flushes the pending partial
-      admission batch every [flush_ms] milliseconds;
+    - one accept thread and one handler thread per connection;
     - a single mutex serializes every engine access (the engine is not
       thread-safe; decisions stay coordinator-sequential by design —
       concurrency buys pipelining of parsing/IO, not of deciding);
+    - group commit is drain-triggered, with no timer: a handler is
+      {e busy} while its buffer still holds another complete request,
+      counted under the mutex after every request.  A batch flushes
+      when it fills, or when a handler about to block in read leaves
+      no handler busy — so whenever no handler is busy, nothing is
+      pending.  A pipelining client keeps its handler busy and its
+      batches fill; a lone blocking client has each step flushed at
+      once.  A partial frame never counts as input, so a client
+      stalled mid-frame cannot hold back anyone else's steps;
     - outcomes are routed by a FIFO of issuing clients: each submit
       pushes the client under the lock, and the engine's per-decision
       callback pops one per decided step — admission preserves
@@ -19,21 +26,17 @@
     - a disconnecting client's begun-but-incomplete transactions are
       aborted (they would otherwise pin deletability forever); a
       protocol violation gets a typed [Error_reply] and only that
-      connection is dropped. *)
+      connection is dropped.  Either way its handler stops counting as
+      busy. *)
 
 type t
 
 val create :
-  ?flush_ms:int ->
   backend:(on_step:Backend.on_step -> Backend.t) ->
   Addr.t ->
   t
 (** Listen on [addr] (not yet accepting — see {!start}) and build the
-    backend around the server's outcome router.  [flush_ms] (default
-    20) is the group-commit flush interval; [<= 0] disables the ticker
-    — then batches flush only when full or on control requests, which
-    is what the loopback differential uses to keep batch cadence
-    deterministic. *)
+    backend around the server's outcome router. *)
 
 val addr : t -> Addr.t
 (** The address actually bound (with [Tcp (_, 0)] it carries the

@@ -71,23 +71,14 @@ let outcome_of_code = function
   | 3 -> Some Sched.Ignored
   | _ -> None
 
-let put_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
-let put_i32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
+let put_i64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
+let put_i32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
 
 let put_string buf s =
   put_i32 buf (String.length s);
   Buffer.add_string buf s
 
-let request_payload r =
-  let buf = Buffer.create 32 in
-  (match r with
+let request_payload buf = function
   | Begin t ->
       Buffer.add_char buf (Char.chr tag_begin);
       put_i64 buf t
@@ -106,12 +97,9 @@ let request_payload r =
   | Abort t ->
       Buffer.add_char buf (Char.chr tag_abort);
       put_i64 buf t
-  | Stats -> Buffer.add_char buf (Char.chr tag_stats));
-  Buffer.contents buf
+  | Stats -> Buffer.add_char buf (Char.chr tag_stats)
 
-let response_payload r =
-  let buf = Buffer.create 32 in
-  (match r with
+let response_payload buf = function
   | Outcome { step; outcome } ->
       Buffer.add_char buf (Char.chr tag_outcome);
       put_i64 buf step;
@@ -129,14 +117,17 @@ let response_payload r =
         kvs
   | Error_reply m ->
       Buffer.add_char buf (Char.chr tag_error_reply);
-      put_string buf m);
-  Buffer.contents buf
+      put_string buf m
 
-let frame payload =
-  let buf = Buffer.create (4 + String.length payload) in
-  put_i32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* The payload goes after a 4-byte placeholder that is patched with its
+   length once known: one buffer, one copy. *)
+let frame payload v =
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf "\000\000\000\000";
+  payload buf v;
+  let b = Buffer.to_bytes buf in
+  Bytes.set_int32_be b 0 (Int32.of_int (Bytes.length b - 4));
+  Bytes.unsafe_to_string b
 
 (* Payload cursor; every decode error is a typed [error]. *)
 
@@ -310,109 +301,151 @@ let response_of_line line =
 
 (* {1 Framing} *)
 
-let encode payload_of line_of dialect v =
+let encode payload line_of dialect v =
   match dialect with
-  | Binary -> frame (payload_of v)
+  | Binary -> frame payload v
   | Line -> line_of v ^ "\n"
 
 let encode_request d r = encode request_payload request_line d r
 let encode_response d r = encode response_payload response_line d r
 
-(* Decode one frame of [s] starting at [pos].  [Truncated] means the
-   prefix so far is a valid partial frame — read more bytes and retry;
-   every other error is fatal for the connection. *)
-let decode decode_payload of_line dialect s ~pos =
-  let len = String.length s in
-  try
-    match dialect with
-    | Binary ->
-        if pos + 4 > len then Error Truncated
-        else begin
-          let c4 = { s; pos; limit = len } in
-          let n = get_i32 c4 in
-          if n < 0 then Error (Malformed "negative frame length")
-          else if n > max_frame then Error (Oversized n)
-          else if pos + 4 + n > len then Error Truncated
-          else begin
-            let c = { s; pos = pos + 4; limit = pos + 4 + n } in
+let rec index_before s c ~pos ~limit =
+  if pos >= limit then None
+  else if String.unsafe_get s pos = c then Some pos
+  else index_before s c ~pos:(pos + 1) ~limit
+
+(* Where the frame starting at [pos] ends, looking only at [pos, limit):
+   [Truncated] means the bytes so far are a valid prefix — read more
+   and retry; every other error is fatal for the connection. *)
+let frame_end dialect s ~pos ~limit =
+  match dialect with
+  | Binary ->
+      if pos + 4 > limit then Error Truncated
+      else
+        let n = Int32.to_int (String.get_int32_be s pos) in
+        if n < 0 then Error (Malformed "negative frame length")
+        else if n > max_frame then Error (Oversized n)
+        else if pos + 4 + n > limit then Error Truncated
+        else Ok (pos + 4 + n)
+  | Line -> (
+      match index_before s '\n' ~pos ~limit with
+      | Some nl -> Ok (nl + 1)
+      | None ->
+          if limit - pos > max_frame then Error (Oversized (limit - pos))
+          else Error Truncated)
+
+let decode_within decode_payload of_line dialect s ~pos ~limit =
+  match frame_end dialect s ~pos ~limit with
+  | Error e -> Error e
+  | Ok stop -> (
+      try
+        match dialect with
+        | Binary ->
+            let c = { s; pos = pos + 4; limit = stop } in
             let v = decode_payload c in
             if c.pos <> c.limit then Error (Malformed "trailing payload bytes")
-            else Ok (v, c.limit)
-          end
-        end
-    | Line -> (
-        match String.index_from_opt s pos '\n' with
-        | None ->
-            if len - pos > max_frame then Error (Oversized (len - pos))
-            else Error Truncated
-        | Some nl -> Ok (of_line (String.sub s pos (nl - pos)), nl + 1))
-  with Err e -> Error e
+            else Ok (v, stop)
+        | Line -> Ok (of_line (String.sub s pos (stop - 1 - pos)), stop)
+      with Err e -> Error e)
+
+let decode_request_within =
+  decode_within decode_request_payload request_of_line
+
+let decode_response_within =
+  decode_within decode_response_payload response_of_line
 
 let decode_request d s ~pos =
-  decode decode_request_payload request_of_line d s ~pos
+  decode_request_within d s ~pos ~limit:(String.length s)
 
 let decode_response d s ~pos =
-  decode decode_response_payload response_of_line d s ~pos
+  decode_response_within d s ~pos ~limit:(String.length s)
 
 (* {1 Buffered frame IO over a file descriptor} *)
 
 module Io = struct
+  (* Received bytes not yet decoded live in [buf.[pos .. len)]; a
+     decoded frame only advances [pos].  [refill] reads straight into
+     the free tail, first moving the undecoded remainder to the front,
+     and grows [buf] only when one partial frame fills it — so a
+     connection allocates its buffer once, not once per read. *)
   type t = {
     fd : Unix.file_descr;
-    mutable buf : string;  (** received, not yet decoded *)
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    mutable len : int;
     mutable eof : bool;
   }
 
-  let of_fd fd = { fd; buf = ""; eof = false }
+  let initial_capacity = 65536
+
+  let of_fd fd =
+    { fd; buf = Bytes.create initial_capacity; pos = 0; len = 0; eof = false }
   let fd t = t.fd
 
   let refill t =
     if t.eof then false
     else begin
-      let chunk = Bytes.create 65536 in
-      match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+      if t.pos > 0 then begin
+        Bytes.blit t.buf t.pos t.buf 0 (t.len - t.pos);
+        t.len <- t.len - t.pos;
+        t.pos <- 0
+      end;
+      if t.len = Bytes.length t.buf then begin
+        let grown = Bytes.create (2 * t.len) in
+        Bytes.blit t.buf 0 grown 0 t.len;
+        t.buf <- grown
+      end;
+      match Unix.read t.fd t.buf t.len (Bytes.length t.buf - t.len) with
       | 0 ->
           t.eof <- true;
           false
       | n ->
-          t.buf <- t.buf ^ Bytes.sub_string chunk 0 n;
+          t.len <- t.len + n;
           true
       | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
           t.eof <- true;
           false
     end
 
+  (* Decoders only read the view, and nothing is kept from it past the
+     call (decoded strings are copies), so sharing [buf] is safe. *)
+  let view t = Bytes.unsafe_to_string t.buf
+
   let sniff_dialect t =
     let rec go () =
-      if String.length t.buf > 0 then
-        Ok (if t.buf.[0] = '\x00' then Binary else Line)
+      if t.len > t.pos then
+        Ok (if Bytes.get t.buf t.pos = '\x00' then Binary else Line)
       else if refill t then go ()
       else Error Closed
     in
     go ()
 
+  let has_frame t dialect =
+    match frame_end dialect (view t) ~pos:t.pos ~limit:t.len with
+    | Error Truncated -> false
+    | Ok _ | Error _ -> true
+
   let read_with decoder t dialect =
     let rec go () =
-      match decoder dialect t.buf ~pos:0 with
-      | Ok (v, consumed) ->
-          t.buf <- String.sub t.buf consumed (String.length t.buf - consumed);
+      match decoder dialect (view t) ~pos:t.pos ~limit:t.len with
+      | Ok (v, stop) ->
+          t.pos <- stop;
           Ok v
       | Error Truncated ->
           if refill t then go ()
-          else if String.length t.buf = 0 then Error Closed
+          else if t.pos = t.len then Error Closed
           else Error Truncated
       | Error e -> Error e
     in
     go ()
 
-  let read_request t dialect = read_with decode_request t dialect
-  let read_response t dialect = read_with decode_response t dialect
+  let read_request t dialect = read_with decode_request_within t dialect
+  let read_response t dialect = read_with decode_response_within t dialect
 
   let write t s =
-    let b = Bytes.of_string s in
-    let len = Bytes.length b in
+    let len = String.length s in
     let off = ref 0 in
     while !off < len do
-      off := !off + Unix.write t.fd b !off (len - !off)
+      off := !off + Unix.write_substring t.fd s !off (len - !off)
     done
 end

@@ -68,7 +68,13 @@ val encode_response : dialect -> response -> string
 val decode_request : dialect -> string -> pos:int -> (request * int, error) result
 val decode_response : dialect -> string -> pos:int -> (response * int, error) result
 
-(** {1 Buffered frame IO over a file descriptor} *)
+(** {1 Buffered frame IO over a file descriptor}
+
+    Each [t] owns one receive buffer, allocated once: reads land in
+    its free tail, decoding advances a cursor, and the undecoded
+    remainder moves to the front only when the buffer is refilled.
+    Reading a burst of pipelined frames therefore costs time linear in
+    its bytes, and a steady stream allocates nothing per read. *)
 
 module Io : sig
   type t
@@ -78,6 +84,11 @@ module Io : sig
 
   val sniff_dialect : t -> (dialect, error) result
   (** Peek the first byte without consuming it. *)
+
+  val has_frame : t -> dialect -> bool
+  (** Whether the next read returns without touching the socket: a
+      complete frame (or a framing error) is already buffered.  A
+      partial frame does not count. *)
 
   val read_request : t -> dialect -> (request, error) result
   val read_response : t -> dialect -> (response, error) result

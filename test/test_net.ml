@@ -2,7 +2,9 @@
 
    - WIRE ROUND TRIPS (QCheck): every request/response frame survives
      encode/decode in both dialects, consuming exactly the frame's
-     bytes, including back-to-back frames in one buffer.
+     bytes, including back-to-back frames in one buffer; the buffered
+     socket reader returns the same frames through any chunking of
+     the byte stream, with [Closed]/[Truncated] at EOF.
 
    - TYPED REJECTIONS: truncated, oversized, negative-length, bad-tag,
      trailing-byte and garbage-line inputs each map to their typed
@@ -15,12 +17,18 @@
      transactions are aborted.  Response streams stay in issue order
      across mixed step/control requests.
 
+   - GROUP COMMIT: batches flush when the server's input drains — a
+     lone blocking client gets every step decided alone, a pipelined
+     burst still fills batches, and a connection that dies mid-burst
+     never strands another client's pending step.
+
    - LOOPBACK DIFFERENTIAL (the tentpole guarantee): a workload-mix
      schedule fed through socket + server + admission into the
      sequential and the parallel engine produces the exact outcome
      sequence and a byte-identical JSONL trace (decisions, deletion
-     rounds, checkpoints) as the same engine fed in-process — the
-     network layer adds transport, never behavior.
+     rounds, checkpoints) as the same engine fed in-process with the
+     served run's batch boundaries — the network layer adds
+     transport, never behavior.
 
    - DRIVER: the closed-loop multi-client driver accounts for every
      transaction and lands every op latency in the merged histograms.
@@ -43,6 +51,7 @@ module Par = Dct_engine.Parallel
 module Policy = Dct_deletion.Policy
 module Tracer = Dct_telemetry.Tracer
 module Sink = Dct_telemetry.Sink
+module Event = Dct_telemetry.Event
 module Metrics = Dct_telemetry.Metrics
 
 let check = Alcotest.(check bool)
@@ -139,6 +148,105 @@ let prop_request_stream =
       in
       go 0 [] = reqs)
 
+(* --- buffered frame IO over a real socket --- *)
+
+(* Write [bytes] into a socketpair from another thread in the given
+   chunk sizes (cycled), yielding after each so the reader sees many
+   partial frames, then close; collect what [Io.read_request] returns
+   up to its first error. *)
+let read_back_chunked d bytes chunks =
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        let len = String.length bytes in
+        let rec go off = function
+          | [] -> go off chunks
+          | size :: rest ->
+              if off < len then begin
+                let n = Unix.write_substring wr bytes off (min size (len - off)) in
+                Thread.yield ();
+                go (off + n) rest
+              end
+        in
+        go 0 chunks;
+        Unix.close wr)
+      ()
+  in
+  let io = Wire.Io.of_fd rd in
+  let rec collect acc =
+    match Wire.Io.read_request io d with
+    | Ok r -> collect (r :: acc)
+    | Error e -> (List.rev acc, e)
+  in
+  let got = collect [] in
+  Thread.join writer;
+  Unix.close rd;
+  got
+
+(* Any chunking of a frame stream reads back as the same requests; EOF
+   then reads as [Closed] at a frame boundary and [Truncated] after a
+   strict prefix of one more frame. *)
+let prop_io_chunked =
+  QCheck.Test.make ~count:150 ~name:"Io reads frames back through any chunking"
+    (QCheck.make
+       ~print:(fun (d, reqs, chunks, tail) ->
+         Printf.sprintf "%s %s chunks=[%s] tail=%s" (Wire.dialect_name d)
+           (String.concat "" (List.map request_print reqs))
+           (String.concat ";" (List.map string_of_int chunks))
+           (match tail with
+           | None -> "-"
+           | Some (r, k) -> Printf.sprintf "%d of %S" k (request_print r)))
+       QCheck.Gen.(
+         quad (oneofl dialects)
+           (list_size (int_range 0 12) gen_request)
+           (list_size (int_range 1 6) (oneofl [ 1; 2; 3; 5; 8; 64; 4096 ]))
+           (opt (pair gen_request nat))))
+    (fun (d, reqs, chunks, tail) ->
+      let stream = String.concat "" (List.map (Wire.encode_request d) reqs) in
+      let partial =
+        match tail with
+        | None -> ""
+        | Some (r, k) ->
+            let f = Wire.encode_request d r in
+            String.sub f 0 (1 + (k mod (String.length f - 1)))
+      in
+      let got, last = read_back_chunked d (stream ^ partial) chunks in
+      got = reqs && last = if tail = None then Wire.Closed else Wire.Truncated)
+
+(* [has_frame] sees only complete buffered frames, and a frame larger
+   than the initial buffer still reads back whole. *)
+let test_io_buffering () =
+  let d = Wire.Binary in
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let send s = ignore (Unix.write_substring wr s 0 (String.length s)) in
+  let io = Wire.Io.of_fd rd in
+  let read () =
+    match Wire.Io.read_request io d with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "read: %s" (Wire.error_to_string e)
+  in
+  let b2 = Wire.encode_request d (Wire.Read (2, 9)) in
+  send (Wire.encode_request d (Wire.Begin 1) ^ String.sub b2 0 6);
+  check "first frame" true (read () = Wire.Begin 1);
+  check "half a frame is not a frame" false (Wire.Io.has_frame io d);
+  send (String.sub b2 6 (String.length b2 - 6) ^ Wire.encode_request d Wire.Stats);
+  check "completed frame" true (read () = Wire.Read (2, 9));
+  check "next frame already buffered" true (Wire.Io.has_frame io d);
+  check "buffered frame" true (read () = Wire.Stats);
+  check "buffer drained" false (Wire.Io.has_frame io d);
+  Unix.close rd;
+  Unix.close wr;
+  List.iter
+    (fun d ->
+      let big = Wire.Write (3, List.init 20_000 Fun.id) in
+      let frame = Wire.encode_request d big in
+      check "frame exceeds one read" true (String.length frame > 65536);
+      match read_back_chunked d frame [ 1000 ] with
+      | [ r ], Wire.Closed -> check "big frame intact" true (r = big)
+      | _ -> Alcotest.failf "%s: big frame not read back" (Wire.dialect_name d))
+    dialects
+
 (* --- typed rejections --- *)
 
 let expect_error what expected actual =
@@ -220,10 +328,10 @@ let test_addr_parsing () =
 
 (* --- server fixtures --- *)
 
-let with_server ?(flush_ms = 0) ?(shards = 2) ?(batch = 1) ~name f =
+let with_server ?(shards = 2) ?(batch = 1) ~name f =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards ~batch () in
   let srv =
-    Server.create ~flush_ms
+    Server.create
       ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
       (Addr.Unix_path (sock_path name))
   in
@@ -349,7 +457,7 @@ let test_mixed_dialects () =
 let test_tcp_endpoint () =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards:1 ~batch:1 () in
   let srv =
-    Server.create ~flush_ms:0
+    Server.create
       ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
       (Addr.Tcp ("127.0.0.1", 0))
   in
@@ -362,6 +470,120 @@ let test_tcp_endpoint () =
   ignore (expect_outcome "tcp complete" (Client.call cl (Wire.Complete 1)));
   Client.close cl;
   Server.stop srv
+
+(* --- drain-triggered group commit --- *)
+
+(* A raw connection whose reads give up after 10 s, so a step the server
+   never flushes fails the test instead of hanging it. *)
+let connect_timed srv =
+  let fd = Addr.connect (Server.addr srv) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Wire.Io.of_fd fd
+
+let call io req =
+  Wire.Io.write io (Wire.encode_request Wire.Binary req);
+  Wire.Io.read_response io Wire.Binary
+
+let stat kvs name =
+  match List.assoc_opt name kvs with
+  | Some v -> v
+  | None -> Alcotest.failf "stats reply lacks %s" name
+
+(* One blocking client never leaves a second frame buffered, so each
+   step is flushed alone the moment its handler drains: no full batch,
+   one tick per step, and no timer to wait for. *)
+let test_closed_loop_flushes_each_step () =
+  with_server ~batch:16 ~name:"closed-loop" (fun srv ->
+      let io = connect_timed srv in
+      for txn = 1 to 100 do
+        ignore (expect_outcome "begin" (call io (Wire.Begin txn)));
+        ignore (expect_outcome "complete" (call io (Wire.Complete txn)))
+      done;
+      (match call io Wire.Stats with
+      | Ok (Wire.Stats_reply kvs) ->
+          check_int "live full_batches" 0 (stat kvs "full_batches");
+          check_int "live ticks" 200 (stat kvs "ticks")
+      | _ -> Alcotest.fail "no stats reply");
+      Unix.close (Wire.Io.fd io);
+      Server.stop srv;
+      let r = Server.finish srv ~wall_seconds:0.0 in
+      check_int "every call decided" 200 r.Eng.steps;
+      check_int "no full batch" 0 r.Eng.full_batches;
+      check_int "one flush per step" r.Eng.steps r.Eng.ticks)
+
+(* A pipelined burst keeps its handler busy while frames stay buffered,
+   so batches still fill. *)
+let test_pipelined_burst_fills_batches () =
+  with_server ~batch:16 ~name:"burst" (fun srv ->
+      let io = connect_timed srv in
+      Wire.Io.write io
+        (String.concat ""
+           (List.init 64 (fun i ->
+                Wire.encode_request Wire.Binary (Wire.Begin (i + 1)))));
+      for i = 1 to 64 do
+        ignore
+          (expect_outcome (Printf.sprintf "begin %d" i)
+             (Wire.Io.read_response io Wire.Binary))
+      done;
+      Unix.close (Wire.Io.fd io);
+      Server.stop srv;
+      let r = Server.finish srv ~wall_seconds:0.0 in
+      check_int "every step decided" 64 r.Eng.steps;
+      check
+        (Printf.sprintf "a full batch formed (%d)" r.Eng.full_batches)
+        true (r.Eng.full_batches >= 1))
+
+(* Violators send step frames and then a bad frame in one write, so each
+   dies busy: its handler still has a complete frame buffered when the
+   protocol error hits.  Meanwhile another client's blocking steps must
+   keep being flushed, and each violator's begun transactions are
+   aborted even when their [Begin] was still queued when it died. *)
+let test_protocol_error_releases_flush () =
+  with_server ~batch:16 ~name:"violators" (fun srv ->
+      let io = connect_timed srv in
+      let failure = ref None in
+      let survivor =
+        Thread.create
+          (fun () ->
+            try
+              for txn = 1 to 100 do
+                ignore (expect_outcome "survivor begin" (call io (Wire.Begin txn)));
+                ignore
+                  (expect_outcome "survivor complete" (call io (Wire.Complete txn)))
+              done
+            with e -> failure := Some (Printexc.to_string e))
+          ()
+      in
+      let violators = 5 and per_violator = 200 in
+      for v = 1 to violators do
+        let vio = connect_timed srv in
+        let first = 1000 * v in
+        Wire.Io.write vio
+          (String.concat ""
+             (List.init per_violator (fun i ->
+                  Wire.encode_request Wire.Binary (Wire.Begin (first + i))))
+          ^ frame_of "\x7f");
+        let rec until_error () =
+          match Wire.Io.read_response vio Wire.Binary with
+          | Ok (Wire.Outcome _) -> until_error ()
+          | Ok (Wire.Error_reply _) -> ()
+          | _ -> Alcotest.fail "violator got no error reply"
+        in
+        until_error ();
+        Unix.close (Wire.Io.fd vio)
+      done;
+      Thread.join survivor;
+      Option.iter (Alcotest.failf "survivor: %s") !failure;
+      (* after every violator is gone, a lone step still flushes *)
+      ignore (expect_outcome "begin after violators" (call io (Wire.Begin 500)));
+      ignore (expect_outcome "complete after violators" (call io (Wire.Complete 500)));
+      Unix.close (Wire.Io.fd io);
+      Server.stop srv;
+      let r = Server.finish srv ~wall_seconds:0.0 in
+      check_int "violations counted" violators (Server.proto_errors srv);
+      check_int "survivor committed" 101 r.Eng.committed;
+      check_int "every violator transaction aborted" (violators * per_violator)
+        r.Eng.aborted)
 
 (* --- the loopback differential --- *)
 
@@ -424,26 +646,53 @@ let traced_config () =
   let tracer = Tracer.create ~sink:(Sink.memory buf) () in
   (Eng.config ~policy:Policy.Greedy_c1 ~tracer ~shards ~batch (), buf)
 
-(* The in-process reference: the same engine fed directly. *)
-let run_reference backend_mode steps =
+(* Where the served run's batches ended: every batch (and the final
+   epilogue) leaves a checkpoint event carrying the step count. *)
+let batch_boundaries trace =
+  List.filter_map
+    (fun line ->
+      match Event.of_json line with
+      | Ok (Event.Checkpoint_stats c) -> Some c.Event.at_step
+      | _ -> None)
+    (String.split_on_char '\n' trace)
+
+(* The in-process reference: the same engine fed directly, ticking at
+   exactly the step indices where the served run flushed a batch.  The
+   server flushes when its input drains, which depends on how the
+   socket chunked the stream; replaying those boundaries makes the
+   reference's batch cadence (and with it every checkpoint and GC
+   round) the served run's. *)
+let run_reference ~boundaries backend_mode steps =
   let cfg, buf = traced_config () in
   let outcomes = ref [] in
   let on_step idx _step o = outcomes := (idx, o) :: !outcomes in
-  let report =
+  let submit, tick, finish =
     match backend_mode with
-    | None -> Eng.run ~on_step (Eng.create cfg) steps
+    | None ->
+        let eng = Eng.create cfg in
+        Eng.set_on_step eng (Some on_step);
+        ( Eng.submit eng,
+          (fun () -> Eng.tick eng),
+          fun () -> Eng.finish eng ~wall_seconds:0.0 )
     | Some mode ->
-        (Par.run ~mode ~on_decision:on_step cfg steps).Par.base
+        let h = Par.create_handle ~mode ~on_decision:on_step cfg in
+        ( Par.submit h,
+          (fun () -> Par.tick h),
+          fun () -> (Par.finish h ~wall_seconds:0.0).Par.base )
   in
+  List.iteri
+    (fun i s ->
+      submit s;
+      if List.mem (i + 1) boundaries then tick ())
+    steps;
+  let report = finish () in
   { s_outcomes = List.rev !outcomes; s_trace = Buffer.contents buf;
     s_report = report }
 
 (* The same schedule through socket + server: one pipelined client
-   sends every step, then a Stats request — the server flushes the
+   sends every step, then a Stats request — the server flushes any
    trailing partial batch before answering it, exactly where the
-   in-process run's end-of-input tick happens, so the batch cadence
-   (and with it every checkpoint and GC round) matches.  [flush_ms:0]
-   keeps the group-commit timer out of the schedule. *)
+   in-process run's end-of-input tick happens. *)
 let run_via_server ~name backend_mode steps =
   let cfg, buf = traced_config () in
   let backend ~on_step =
@@ -451,7 +700,7 @@ let run_via_server ~name backend_mode steps =
     | None -> Backend.seq ~on_step cfg
     | Some mode -> Backend.parallel ~mode ~on_step cfg
   in
-  let srv = Server.create ~flush_ms:0 ~backend (Addr.Unix_path (sock_path name)) in
+  let srv = Server.create ~backend (Addr.Unix_path (sock_path name)) in
   Server.start srv;
   let cl = Client.connect (Server.addr srv) in
   List.iter (fun s -> Client.send cl (Client.request_of_step s)) steps;
@@ -465,12 +714,19 @@ let run_via_server ~name backend_mode steps =
       | Ok _ -> Alcotest.failf "step %d: non-outcome response" (i + 1)
       | Error e -> Alcotest.failf "step %d: %s" (i + 1) (Wire.error_to_string e))
     steps;
-  (match Client.recv cl with
-  | Ok (Wire.Stats_reply _) -> ()
-  | _ -> Alcotest.fail "missing trailing stats reply");
+  let stats =
+    match Client.recv cl with
+    | Ok (Wire.Stats_reply kvs) -> kvs
+    | _ -> Alcotest.fail "missing trailing stats reply"
+  in
   Client.close cl;
   Server.stop srv;
   let report = Server.finish srv ~wall_seconds:0.0 in
+  (* the trailing Stats flushed everything, so the live admission
+     counters are already final *)
+  check_int (name ^ ": live full_batches") report.Eng.full_batches
+    (stat stats "full_batches");
+  check_int (name ^ ": live ticks") report.Eng.ticks (stat stats "ticks");
   { s_outcomes = List.rev !outcomes; s_trace = Buffer.contents buf;
     s_report = report }
 
@@ -488,7 +744,9 @@ let aggregate (r : Eng.report) =
 let loopback_differential ~label ~mix backend_mode =
   let steps = Mix.schedule mix ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
   let net = run_via_server ~name:label backend_mode steps in
-  let reference = run_reference backend_mode steps in
+  let reference =
+    run_reference ~boundaries:(batch_boundaries net.s_trace) backend_mode steps
+  in
   check_int
     (label ^ ": one outcome per step")
     (List.length steps)
@@ -529,7 +787,10 @@ let test_differential_par_long_reader () =
 let test_differential_domains () =
   let steps = Mix.schedule Mix.Ycsb_b ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
   let net = run_via_server ~name:"domains" (Some Par.Domains) steps in
-  let reference = run_reference (Some (Par.Replay 5)) steps in
+  let reference =
+    run_reference ~boundaries:(batch_boundaries net.s_trace)
+      (Some (Par.Replay 5)) steps
+  in
   check "domains outcomes == replay reference" true
     (net.s_outcomes = reference.s_outcomes);
   (match first_trace_divergence net.s_trace reference.s_trace with
@@ -543,7 +804,7 @@ let test_differential_domains () =
 let run_driver ~name ~mix ~dialect ~clients ~txns =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards:2 ~batch:4 () in
   let srv =
-    Server.create ~flush_ms:2
+    Server.create
       ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
       (Addr.Unix_path (sock_path name))
   in
@@ -723,6 +984,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_stream;
+          QCheck_alcotest.to_alcotest prop_io_chunked;
+          Alcotest.test_case "io buffering and has_frame" `Quick
+            test_io_buffering;
           Alcotest.test_case "binary typed rejections" `Quick test_binary_errors;
           Alcotest.test_case "line typed rejections" `Quick test_line_errors;
           Alcotest.test_case "address parsing" `Quick test_addr_parsing;
@@ -741,6 +1005,15 @@ let () =
             test_mixed_dialects;
           Alcotest.test_case "tcp endpoint with kernel port" `Quick
             test_tcp_endpoint;
+        ] );
+      ( "group-commit",
+        [
+          Alcotest.test_case "closed loop flushes each step alone" `Quick
+            test_closed_loop_flushes_each_step;
+          Alcotest.test_case "pipelined burst fills batches" `Quick
+            test_pipelined_burst_fills_batches;
+          Alcotest.test_case "protocol error does not strand steps" `Quick
+            test_protocol_error_releases_flush;
         ] );
       ( "loopback-differential",
         [
