@@ -1,13 +1,13 @@
 # Convenience entry points; everything below is a thin wrapper over dune.
 
-.PHONY: all check build test oracle-test telemetry-test engine-test gc-test parallel-test check-hist net-test graph-test trace-smoke bench bench-smoke bench-latency bench-engine bench-engine-smoke bench-engine-par bench-engine-par-smoke bench-policy bench-policy-smoke bench-check bench-check-smoke bench-net bench-net-smoke bench-graph bench-graph-smoke clean
+.PHONY: all check build test oracle-test telemetry-test engine-test gc-test check-hist net-test graph-test trace-smoke bench bench-smoke bench-latency bench-engine bench-engine-smoke bench-policy bench-policy-smoke bench-check bench-check-smoke bench-net bench-net-smoke bench-graph bench-graph-smoke clean
 
 all: build
 
 # The default gate: full build, full test suite, and the smoke sweeps
 # that double as end-to-end differential checks (oracle backends,
-# sharded engine, parallel engine, deletability index, history checker).
-check: build test bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
+# sharded engine, deletability index, history checker).
+check: build test bench-smoke bench-engine-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
 
 build:
 	dune build
@@ -38,14 +38,6 @@ engine-test:
 gc-test:
 	dune build @gc
 
-# Just the parallel-engine suite (the seeded-replay differential matrix
-# vs the single-node scheduler and the sequential engine, the MPSC
-# admission linearizability property, the coordinator mutation checks,
-# and the locked-sink thread-safety regression) — the tight loop when
-# hacking on the domain-per-shard engine.
-parallel-test:
-	dune build @parallel
-
 # Just the history-checker suite (scheduler-accepted differential,
 # mutation harness, streaming-vs-closure QCheck property, pinned
 # corpus/check/ runs) — the tight loop when hacking on lib/check.
@@ -54,8 +46,8 @@ check-hist:
 
 # Just the serving-layer suite (wire-protocol round trips and typed
 # rejections in both dialects, the loopback differential against the
-# in-process engines, mid-frame disconnect and shard-failure
-# propagation, workload-mix distribution checks) — the tight loop when
+# in-process engine, mid-frame disconnect handling, workload-mix
+# distribution checks) — the tight loop when
 # hacking on lib/net.
 net-test:
 	dune build @net
@@ -98,18 +90,6 @@ bench-engine:
 # failure or a malformed BENCH_engine.json.
 bench-engine-smoke:
 	dune exec bench/main.exe -- engine-smoke
-
-# The domains axis alone: each parallel row (one applier domain per
-# shard) next to its sequential baseline, with speedup_vs_single_domain
-# and host_cores recorded in BENCH_engine.json.
-bench-engine-par:
-	dune exec bench/main.exe -- engine-par
-
-# CI gate: one seq/par pair; the parallel row's differential runs the
-# full three-way check (single-node scheduler + sequential engine +
-# trace byte-equality).
-bench-engine-par-smoke:
-	dune exec bench/main.exe -- engine-par-smoke
 
 # The policy/GC sweep: n x contention x policy with and without the
 # deletability index (writes BENCH_policy.json with per-GC-call latency

@@ -1,6 +1,6 @@
-(* The engine sweep: shard count x admission batch x contention x
-   applier domains, each configuration run through the sharded engine
-   on a shard-affine workload.
+(* The engine sweep: shard count x admission batch x contention, each
+   configuration run through the sharded engine on a shard-affine
+   workload.
 
    Reported per configuration: throughput (steps/s), the coordinator's
    residency high-water mark, the worst per-shard residency high-water
@@ -9,19 +9,11 @@
    Every configuration is also run through the engine's differential
    mode, so the sweep doubles as an end-to-end exactness check; results
    land in BENCH_engine.json, re-read and validated before exit (the
-   [make bench-engine] gate).
-
-   The domains axis ([domains > 1]) runs the parallel engine — one
-   applier domain per shard behind the sequential coordinator — against
-   the sequential row of the same workload, and records the speedup.
-   [host_cores] is recorded alongside: on a single-core host the
-   domains are OS threads and the honest speedup is ~1x (or below);
-   the exactness checks still hold there, which is the point. *)
+   [make bench-engine] gate). *)
 
 module Gen = Dct_workload.Generator
 module Policy = Dct_deletion.Policy
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 
 type config = {
   shards : int;
@@ -30,66 +22,27 @@ type config = {
   cross_shard : float;
   n_txns : int;
   seed : int;
-  domains : int; (* 1 = sequential engine; > 1 = one domain per shard *)
 }
 
-(* The parallel rows pair with grid rows: same workload (shards, batch,
-   theta, n_txns, seed), domains = shards.  Speedup is computed against
-   the domains = 1 row of the same workload. *)
 let full_configs =
-  let grid =
-    List.concat_map
-      (fun shards ->
-        List.concat_map
-          (fun batch ->
-            List.map
-              (fun theta ->
-                {
-                  shards;
-                  batch;
-                  theta;
-                  cross_shard = 0.1;
-                  n_txns = 400;
-                  seed = 23;
-                  domains = 1;
-                })
-              [ 0.5; 0.99 ])
-          [ 1; 16; 64 ])
-      [ 1; 2; 4; 8 ]
-  in
-  let par =
-    List.map
-      (fun shards ->
-        {
-          shards;
-          batch = 16;
-          theta = 0.99;
-          cross_shard = 0.1;
-          n_txns = 400;
-          seed = 23;
-          domains = shards;
-        })
-      [ 2; 4; 8 ]
-  in
-  grid @ par
+  List.concat_map
+    (fun shards ->
+      List.concat_map
+        (fun batch ->
+          List.map
+            (fun theta ->
+              { shards; batch; theta; cross_shard = 0.1; n_txns = 400; seed = 23 })
+            [ 0.5; 0.99 ])
+        [ 1; 16; 64 ])
+    [ 1; 2; 4; 8 ]
 
 let smoke_configs =
   [
     { shards = 2; batch = 8; theta = 0.9; cross_shard = 0.1; n_txns = 60;
-      seed = 23; domains = 1 };
+      seed = 23 };
     { shards = 4; batch = 16; theta = 0.9; cross_shard = 0.2; n_txns = 60;
-      seed = 29; domains = 1 };
-    { shards = 2; batch = 8; theta = 0.9; cross_shard = 0.1; n_txns = 60;
-      seed = 23; domains = 2 };
+      seed = 29 };
   ]
-
-(* The paired subset alone: every parallel row plus its sequential
-   baseline — the [make bench-engine-par] target. *)
-let par_configs ~smoke =
-  let all = if smoke then smoke_configs else full_configs in
-  let pars = List.filter (fun c -> c.domains > 1) all in
-  let baseline_of p = { p with domains = 1 } in
-  List.concat_map (fun p -> [ baseline_of p; p ]) pars
 
 let schedule_of c =
   Gen.basic
@@ -106,7 +59,6 @@ let schedule_of c =
 
 type row = {
   c : config;
-  mode : string;
   steps : int;
   throughput : float;
   committed : int;
@@ -123,91 +75,41 @@ let run_config c =
   let cfg =
     Eng.config ~policy:Policy.Greedy_c1 ~shards:c.shards ~batch:c.batch ()
   in
-  if c.domains <= 1 then begin
-    let r = Eng.run (Eng.create cfg) schedule in
-    let d =
-      Eng.differential ~shards:c.shards ~batch:c.batch ~policy:Policy.Greedy_c1
-        schedule
-    in
-    let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
-    {
-      c;
-      mode = "sequential";
-      steps = r.Eng.steps;
-      throughput =
-        (if r.Eng.wall_seconds > 0.0 then
-           float_of_int r.Eng.steps /. r.Eng.wall_seconds
-         else 0.0);
-      committed = r.Eng.committed;
-      aborted = r.Eng.aborted;
-      coordinator_hwm = coord.resident_hwm;
-      shard_hwm = r.Eng.shard_resident_hwm;
-      cross_arcs = r.Eng.cross_shard_arcs;
-      distributed = r.Eng.distributed_txns;
-      differential_ok = Eng.differential_ok d;
-    }
-  end
-  else begin
-    (* Timing comes from the real-domain run; the exactness check runs
-       through the deterministic replay simulator (same protocol, and it
-       additionally compares deletion rounds, per-shard state and the
-       telemetry trace against the sequential engine). *)
-    let pr = Par.run ~mode:Par.Domains cfg schedule in
-    let d =
-      Par.differential ~mode:(Par.Replay c.seed) ~shards:c.shards
-        ~batch:c.batch ~policy:Policy.Greedy_c1 schedule
-    in
-    let r = pr.Par.base in
-    let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
-    {
-      c;
-      mode = pr.Par.mode;
-      steps = r.Eng.steps;
-      throughput =
-        (if r.Eng.wall_seconds > 0.0 then
-           float_of_int r.Eng.steps /. r.Eng.wall_seconds
-         else 0.0);
-      committed = r.Eng.committed;
-      aborted = r.Eng.aborted;
-      coordinator_hwm = coord.resident_hwm;
-      shard_hwm = r.Eng.shard_resident_hwm;
-      cross_arcs = r.Eng.cross_shard_arcs;
-      distributed = r.Eng.distributed_txns;
-      differential_ok = Par.differential_ok d;
-    }
-  end
+  let r = Eng.run (Eng.create cfg) schedule in
+  let d =
+    Eng.differential ~shards:c.shards ~batch:c.batch ~policy:Policy.Greedy_c1
+      schedule
+  in
+  let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
+  {
+    c;
+    steps = r.Eng.steps;
+    throughput =
+      (if r.Eng.wall_seconds > 0.0 then
+         float_of_int r.Eng.steps /. r.Eng.wall_seconds
+       else 0.0);
+    committed = r.Eng.committed;
+    aborted = r.Eng.aborted;
+    coordinator_hwm = coord.resident_hwm;
+    shard_hwm = r.Eng.shard_resident_hwm;
+    cross_arcs = r.Eng.cross_shard_arcs;
+    distributed = r.Eng.distributed_txns;
+    differential_ok = Eng.differential_ok d;
+  }
 
-let host_cores = Par.available_domains ()
+let host_cores = Domain.recommended_domain_count ()
 
-let same_workload a b =
-  a.shards = b.shards && a.batch = b.batch && a.theta = b.theta
-  && a.cross_shard = b.cross_shard && a.n_txns = b.n_txns && a.seed = b.seed
-
-(* Speedup of a parallel row over the sequential row of the same
-   workload; 1.0 for sequential rows, 0.0 when no baseline is present. *)
-let speedup_of rows r =
-  if r.c.domains <= 1 then 1.0
-  else
-    match
-      List.find_opt
-        (fun b -> b.c.domains = 1 && same_workload b.c r.c)
-        rows
-    with
-    | Some b when b.throughput > 0.0 -> r.throughput /. b.throughput
-    | _ -> 0.0
-
-let json_of_row ~speedup r =
+let json_of_row r =
   Printf.sprintf
     "    {\"shards\": %d, \"batch\": %d, \"theta\": %.2f, \"cross_shard\": \
-     %.2f, \"n_txns\": %d, \"seed\": %d, \"domains\": %d, \"mode\": %S, \
-     \"host_cores\": %d,\n\
+     %.2f, \"n_txns\": %d, \"seed\": %d, \"host_cores\": %d,\n\
     \     \"steps\": %d, \"throughput_steps_per_s\": %.1f, \
-     \"speedup_vs_single_domain\": %.3f, \"committed\": %d, \"aborted\": %d,\n\
+     \"committed\": %d, \"aborted\": %d,\n\
     \     \"coordinator_resident_hwm\": %d, \"shard_resident_hwm\": %d, \
      \"cross_shard_arcs\": %d, \"distributed_txns\": %d, \"differential_ok\": \
      %b}"
     r.c.shards r.c.batch r.c.theta r.c.cross_shard r.c.n_txns r.c.seed
-    r.c.domains r.mode host_cores r.steps r.throughput speedup r.committed
+    host_cores r.steps r.throughput r.committed
     r.aborted r.coordinator_hwm r.shard_hwm r.cross_arcs r.distributed
     r.differential_ok
 
@@ -216,7 +118,7 @@ let output_file = "BENCH_engine.json"
 let write_json ~smoke rows =
   let oc = open_out output_file in
   Printf.fprintf oc
-    "{\"bench\": \"engine_sweep\", \"version\": 2, \"smoke\": %b, \
+    "{\"bench\": \"engine_sweep\", \"version\": 3, \"smoke\": %b, \
      \"host_cores\": %d,\n\
     \  \"configs\": [\n%s\n  ]}\n"
     smoke host_cores
@@ -278,11 +180,6 @@ let validate ~n_configs () =
       | Some f when f >= 0.0 -> ()
       | _ -> err "unparseable throughput %S" tok)
     throughputs;
-  let speedups = List.filter_map float_of_string_opt
-      (float_values "speedup_vs_single_domain") in
-  if List.length speedups <> n_configs then
-    err "expected %d speedup entries" n_configs;
-  List.iter (fun f -> if f < 0.0 then err "negative speedup %.3f" f) speedups;
   let ints key = List.filter_map int_of_string_opt (float_values key) in
   let coord = ints "coordinator_resident_hwm" in
   let shard = ints "shard_resident_hwm" in
@@ -294,25 +191,24 @@ let validate ~n_configs () =
   else err "missing residency high-water marks";
   !errors
 
-let run_rows ~smoke configs =
+let run ~smoke () =
+  let configs = if smoke then smoke_configs else full_configs in
   Printf.printf "engine sweep (%d configs, %d host cores)%s\n"
     (List.length configs) host_cores
     (if smoke then " [smoke]" else "");
-  Printf.printf "%6s %6s %6s %7s %6s %10s %8s %10s %9s %9s %6s\n" "shards"
-    "batch" "theta" "domains" "steps" "steps/s" "speedup" "coord hwm"
-    "shard hwm" "crossarcs" "diff";
+  Printf.printf "%6s %6s %6s %6s %10s %10s %9s %9s %6s\n" "shards" "batch"
+    "theta" "steps" "steps/s" "coord hwm" "shard hwm" "crossarcs" "diff";
   let failures = ref 0 in
   let rows = List.map run_config configs in
   let jsons =
     List.map
       (fun r ->
-        let speedup = speedup_of rows r in
         if not r.differential_ok then incr failures;
-        Printf.printf "%6d %6d %6.2f %7d %6d %10.0f %8.2f %10d %9d %9d %6s\n"
-          r.c.shards r.c.batch r.c.theta r.c.domains r.steps r.throughput
-          speedup r.coordinator_hwm r.shard_hwm r.cross_arcs
+        Printf.printf "%6d %6d %6.2f %6d %10.0f %10d %9d %9d %6s\n" r.c.shards
+          r.c.batch r.c.theta r.steps r.throughput r.coordinator_hwm
+          r.shard_hwm r.cross_arcs
           (if r.differential_ok then "ok" else "FAIL");
-        json_of_row ~speedup r)
+        json_of_row r)
       rows
   in
   write_json ~smoke jsons;
@@ -323,14 +219,4 @@ let run_rows ~smoke configs =
         (Printf.eprintf "engine sweep: %s malformed: %s\n" output_file)
         errs;
       incr failures);
-  if host_cores = 1 then
-    Printf.printf
-      "note: single-core host — domain rows measure protocol overhead, \
-       not speedup\n";
   if !failures > 0 then exit 1
-
-let run ~smoke () =
-  run_rows ~smoke (if smoke then smoke_configs else full_configs)
-
-(* Only the parallel rows and their sequential baselines. *)
-let run_par ~smoke () = run_rows ~smoke (par_configs ~smoke)

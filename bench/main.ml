@@ -103,8 +103,12 @@ let replay_arcs_naive () =
     arc_stream
 
 let replay_arcs_pk () =
-  let o = Dct_graph.Order.create () in
-  List.iter (fun (src, dst) -> ignore (Dct_graph.Order.add_arc o ~src ~dst)) arc_stream
+  let o = Dct_graph.Topo_order.create () in
+  List.iter
+    (fun (src, dst) ->
+      if not (Dct_graph.Topo_order.would_cycle o ~src ~dst) then
+        Dct_graph.Topo_order.add_arc o ~src ~dst)
+    arc_stream
 
 let replay_arcs_closure () =
   let c = Dct_graph.Closure.create () in
@@ -291,7 +295,7 @@ let run_bechamel () =
 let usage () =
   print_endline
     "usage: main.exe \
-     [ex1..ex15|bechamel|oracle|oracle-smoke|oracle-latency|engine|engine-smoke|engine-par|engine-par-smoke|policy|policy-smoke|check|check-smoke|net|net-smoke|graph|graph-smoke|all]"
+     [ex1..ex15|bechamel|oracle|oracle-smoke|oracle-latency|engine|engine-smoke|policy|policy-smoke|check|check-smoke|net|net-smoke|graph|graph-smoke|all]"
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -317,8 +321,6 @@ let () =
   | "oracle-latency" -> Oracle_sweep.run ~smoke:true ~latency:true ()
   | "engine" -> Engine_sweep.run ~smoke:false ()
   | "engine-smoke" -> Engine_sweep.run ~smoke:true ()
-  | "engine-par" -> Engine_sweep.run_par ~smoke:false ()
-  | "engine-par-smoke" -> Engine_sweep.run_par ~smoke:true ()
   | "policy" -> Policy_sweep.run ~smoke:false ()
   | "policy-smoke" -> Policy_sweep.run ~smoke:true ()
   | "check" -> Check_sweep.run ~smoke:false ()

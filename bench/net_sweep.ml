@@ -22,7 +22,6 @@ module Mix = Dct_workload.Mix
 module Policy = Dct_deletion.Policy
 module Didx = Dct_deletion.Deletability_index
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 module Net = Dct_net
 module Metrics = Dct_telemetry.Metrics
 
@@ -99,7 +98,7 @@ type row = {
   shard_hwm : int;
 }
 
-let host_cores = Par.available_domains ()
+let host_cores = Domain.recommended_domain_count ()
 
 let sock_path idx =
   Filename.concat

@@ -410,10 +410,8 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
-    cross_shard oracle gc_index domains replay differential listen trace
-    metrics_on json =
+    cross_shard oracle gc_index differential listen trace metrics_on json =
   let module Eng = Dct_engine.Engine in
-  let module Par = Dct_engine.Parallel in
   let partitioner =
     match Dct_engine.Partitioner.of_string partitioner_spec ~shards with
     | Ok p -> p
@@ -454,27 +452,6 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   let cfg =
     Eng.config ~policy ~partitioner ?oracle ~tracer ?gc_index ~shards ~batch ()
   in
-  (* --replay always wins (it is single-threaded anyway); --domains > 1
-     selects one applier domain per shard, falling back to the
-     sequential engine on a single-core host per the determinism
-     contract — domains there are OS threads and can only add noise. *)
-  let parallel_mode =
-    match replay with
-    | Some interleaving_seed -> Some (Par.Replay interleaving_seed)
-    | None ->
-        if domains > 1 then
-          if Par.available_domains () = 1 then begin
-            Printf.eprintf
-              "dct: serve: single-core host: --domains %d falls back to \
-               the sequential engine (use --replay SEED for the \
-               deterministic interleaving simulator)\n"
-              domains;
-            None
-          end
-          else Some Par.Domains
-        else None
-  in
-  let par_info = ref None in
   let serve_socket addr_spec =
     (* Network mode: clients supply the traffic; the generated schedule
        and --steps are ignored.  Runs until SIGINT/SIGTERM, then shuts
@@ -486,11 +463,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
           Printf.eprintf "dct: serve: --listen: %s\n" e;
           exit 2
     in
-    let backend ~on_step =
-      match parallel_mode with
-      | None -> Dct_net.Backend.seq ~on_step cfg
-      | Some mode -> Dct_net.Backend.parallel ~mode ~on_step cfg
-    in
+    let backend ~on_step = Dct_net.Backend.seq ~on_step cfg in
     let srv = Dct_net.Server.create ~backend addr in
     let stop_requested = ref false in
     let on_signal = Sys.Signal_handle (fun _ -> stop_requested := true) in
@@ -516,22 +489,12 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   in
   let r =
     try
-      match (listen, parallel_mode) with
-      | Some addr_spec, _ -> serve_socket addr_spec
-      | None, None -> Eng.run (Eng.create cfg) schedule
-      | None, Some mode ->
-          let pr = Par.run ~mode cfg schedule in
-          par_info := Some pr;
-          pr.Par.base
-    with
-    | Dct_deletion.Deletability_index.Divergence msg ->
-        Printf.eprintf "gc-index DIVERGENCE: %s\n" msg;
-        exit 1
-    | Par.Shard_failure (shard, msg) ->
-        (* a dead shard applier must never exit 0 — even one that died
-           after the last awaited barrier *)
-        Printf.eprintf "dct: serve: shard %d domain failed: %s\n" shard msg;
-        exit 1
+      match listen with
+      | Some addr_spec -> serve_socket addr_spec
+      | None -> Eng.run (Eng.create cfg) schedule
+    with Dct_deletion.Deletability_index.Divergence msg ->
+      Printf.eprintf "gc-index DIVERGENCE: %s\n" msg;
+      exit 1
   in
   Option.iter close_out trace_oc;
   let c = r.Eng.coordinator in
@@ -554,13 +517,6 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     str "engine" r.Eng.name;
     int_f "shards" r.Eng.shards;
     int_f "batch" r.Eng.batch;
-    (match !par_info with
-    | Some (pr : Par.report) ->
-        int_f "domains" pr.Par.domains;
-        str "mode" pr.Par.mode;
-        int_f "barriers" pr.Par.barriers;
-        field "lockstep" (string_of_bool pr.Par.lockstep)
-    | None -> str "mode" "sequential");
     str "policy" (Policy.name policy);
     int_f "steps" r.Eng.steps;
     int_f (Si.outcome_name Si.Accepted) r.Eng.accepted;
@@ -603,12 +559,6 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   else begin
     Printf.printf "workload: %s\n" (Format.asprintf "%a" Gen.pp_profile profile);
     Printf.printf "engine: %s\n" r.Eng.name;
-    (match !par_info with
-    | Some (pr : Par.report) ->
-        Printf.printf "parallel: %s, %d applier domain(s), %d barriers%s\n"
-          pr.Par.mode pr.Par.domains pr.Par.barriers
-          (if pr.Par.lockstep then ", lock-step (telemetry on)" else "")
-    | None -> ());
     Dct_sim.Report.print_table
       ~headers:[ "metric"; "value" ]
       [
@@ -667,44 +617,21 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     0
   end
   else begin
-    try
-      match parallel_mode with
-      | Some mode ->
-          let d =
-            Par.differential ~mode ?oracle ~partitioner ?gc_index ~shards
-              ~batch ~policy schedule
-          in
-          if not json then begin
-            print_newline ();
-            Format.printf "%a@." Par.pp_differential d
-          end;
-          if Par.differential_ok d then 0
-          else begin
-            Printf.eprintf
-              "dct: serve: differential FAILED (parallel engine diverges from \
-               the single-node scheduler or the sequential engine)\n";
-            1
-          end
-      | None ->
-          let d =
-            Eng.differential ?oracle ~partitioner ?gc_index ~shards ~batch
-              ~policy schedule
-          in
-          if not json then begin
-            print_newline ();
-            Format.printf "%a@." Eng.pp_differential d
-          end;
-          if Eng.differential_ok d then 0
-          else begin
-            Printf.eprintf
-              "dct: serve: differential FAILED (engine diverges from the \
-               single-node scheduler)\n";
-            1
-          end
-    with Par.Shard_failure (shard, msg) ->
-      (* the differential's parallel run can lose an applier too *)
-      Printf.eprintf "dct: serve: shard %d domain failed: %s\n" shard msg;
+    let d =
+      Eng.differential ?oracle ~partitioner ?gc_index ~shards ~batch ~policy
+        schedule
+    in
+    if not json then begin
+      print_newline ();
+      Format.printf "%a@." Eng.pp_differential d
+    end;
+    if Eng.differential_ok d then 0
+    else begin
+      Printf.eprintf
+        "dct: serve: differential FAILED (engine diverges from the \
+         single-node scheduler)\n";
       1
+    end
   end
 
 let serve_cmd =
@@ -757,29 +684,6 @@ let serve_cmd =
             "Probability a shard-affine transaction's key is drawn \
              outside its home shard (distributed-transaction rate).")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "$(docv) > 1 runs the parallel engine: one OCaml domain per \
-             shard applying commands behind the sequential coordinator. \
-             Decision traces are identical to the sequential engine's by \
-             construction. Falls back to the sequential engine (with a \
-             note) on a single-core host or with $(docv) = 1.")
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replay" ] ~docv:"SEED"
-          ~doc:
-            "Run the parallel engine's protocol in the deterministic \
-             single-threaded interleaving simulator, with $(docv) \
-             choosing which shard advances between coordinator sends. \
-             Every seed must produce identical results; overrides \
-             --domains.")
-  in
   let differential =
     Arg.(
       value & flag
@@ -787,11 +691,10 @@ let serve_cmd =
           ~doc:
             "Re-run the same step sequence through a single-node \
              conflict-graph scheduler in lock-step and verify identical \
-             accept/reject outcomes, per-shard residency bounded by the \
-             single-node residency, and identical final store contents \
-             (under --domains/--replay additionally: identical deletion \
-             rounds, per-shard state, and telemetry trace vs the \
-             sequential engine); exit 1 on any divergence.")
+             accept/reject outcomes, identical broadcast deletion \
+             rounds, per-shard residency bounded by the single-node \
+             residency, and identical final store contents; exit 1 on \
+             any divergence.")
   in
   let listen_arg =
     Arg.(
@@ -841,8 +744,8 @@ let serve_cmd =
     Term.(
       const serve $ shards $ batch $ policy_arg $ partitioner_arg $ steps
       $ txns $ entities $ mpl $ skew $ seed $ cross_shard $ oracle_arg
-      $ gc_index_arg $ domains_arg $ replay_arg $ differential $ listen_arg
-      $ trace_arg $ metrics_arg $ json_arg)
+      $ gc_index_arg $ differential $ listen_arg $ trace_arg $ metrics_arg
+      $ json_arg)
 
 (* --- client --- *)
 
@@ -920,9 +823,8 @@ let client_cmd =
 (* --- bench-net --- *)
 
 let bench_net mix_spec clients txns_per_client keys shards batch policy
-    gc_index domains replay dialect_line seed json =
+    gc_index dialect_line seed json =
   let module Eng = Dct_engine.Engine in
-  let module Par = Dct_engine.Parallel in
   let module Net = Dct_net in
   let module Mix = Dct_workload.Mix in
   let module Metrics = Dct_telemetry.Metrics in
@@ -933,26 +835,8 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
         Printf.eprintf "dct: bench-net: %s\n" e;
         exit 2
   in
-  let parallel_mode =
-    match replay with
-    | Some interleaving_seed -> Some (Par.Replay interleaving_seed)
-    | None ->
-        if domains > 1 && Par.available_domains () > 1 then Some Par.Domains
-        else begin
-          if domains > 1 then
-            Printf.eprintf
-              "dct: bench-net: single-core host: --domains %d falls back to \
-               the sequential engine\n"
-              domains;
-          None
-        end
-  in
   let cfg = Eng.config ~policy ?gc_index ~shards ~batch () in
-  let backend ~on_step =
-    match parallel_mode with
-    | None -> Net.Backend.seq ~on_step cfg
-    | Some mode -> Net.Backend.parallel ~mode ~on_step cfg
-  in
+  let backend ~on_step = Net.Backend.seq ~on_step cfg in
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -967,10 +851,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
   let dres = Net.Driver.run dcfg (Net.Server.addr srv) in
   Net.Server.stop srv;
   let report =
-    try Net.Server.finish srv ~wall_seconds:dres.Net.Driver.wall_seconds
-    with Par.Shard_failure (shard, msg) ->
-      Printf.eprintf "dct: bench-net: shard %d domain failed: %s\n" shard msg;
-      exit 1
+    Net.Server.finish srv ~wall_seconds:dres.Net.Driver.wall_seconds
   in
   let m = dres.Net.Driver.metrics in
   let pct name p = Metrics.histo_percentile m ("net.latency." ^ name) p in
@@ -1060,21 +941,6 @@ let bench_net_cmd =
       value & opt int 16
       & info [ "b"; "batch" ] ~doc:"Admission batch size (group commit).")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"$(docv) > 1 serves from the parallel engine.")
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replay" ] ~docv:"SEED"
-          ~doc:
-            "Serve from the parallel engine's deterministic interleaving \
-             simulator; overrides --domains.")
-  in
   let dialect_line =
     Arg.(
       value & flag
@@ -1095,8 +961,7 @@ let bench_net_cmd =
           residency high-water marks")
     Term.(
       const bench_net $ mix $ clients $ txns $ keys $ shards $ batch
-      $ policy_arg $ gc_index_arg $ domains_arg $ replay_arg $ dialect_line
-      $ seed $ json_arg)
+      $ policy_arg $ gc_index_arg $ dialect_line $ seed $ json_arg)
 
 (* --- trace --- *)
 

@@ -198,9 +198,8 @@ val resident_bytes : t -> int
     ({!aborted_txns}/{!deleted_txns}) are excluded — they record
     history, not resident state.  Derived from capacities and live
     counts only, so two replicas driven by identical operation
-    sequences report identical values (the parallel engine's shard
-    replicas and the socket server depend on this for byte-identical
-    traces). *)
+    sequences report identical values (the loopback differential
+    depends on this for byte-identical traces). *)
 
 (** {1 Internal — used by {!Reduced_graph}} *)
 

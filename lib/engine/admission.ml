@@ -5,7 +5,6 @@ type t = {
   mutable submitted : int;
   mutable full_batches : int;
   mutable ticks : int;
-  mutable posted_batches : int;
 }
 
 let create ~batch =
@@ -18,7 +17,6 @@ let create ~batch =
     submitted = 0;
     full_batches = 0;
     ticks = 0;
-    posted_batches = 0;
   }
 
 let batch_size t = t.batch
@@ -41,30 +39,6 @@ let submit t step =
       end
       else None)
 
-let post t step =
-  Mutex.protect t.mutex (fun () ->
-      t.submitted <- t.submitted + 1;
-      Queue.push step t.queue)
-
-let post_batch t steps =
-  if steps <> [] then
-    Mutex.protect t.mutex (fun () ->
-        List.iter (fun s -> Queue.push s t.queue) steps;
-        t.submitted <- t.submitted + List.length steps;
-        t.posted_batches <- t.posted_batches + 1)
-
-let take_batch t =
-  Mutex.protect t.mutex (fun () ->
-      if Queue.length t.queue < t.batch then None
-      else begin
-        t.full_batches <- t.full_batches + 1;
-        let out = ref [] in
-        for _ = 1 to t.batch do
-          out := Queue.pop t.queue :: !out
-        done;
-        Some (List.rev !out)
-      end)
-
 let tick t =
   Mutex.protect t.mutex (fun () ->
       if Queue.is_empty t.queue then []
@@ -77,4 +51,3 @@ let pending t = Mutex.protect t.mutex (fun () -> Queue.length t.queue)
 let submitted t = Mutex.protect t.mutex (fun () -> t.submitted)
 let full_batches t = Mutex.protect t.mutex (fun () -> t.full_batches)
 let ticks t = Mutex.protect t.mutex (fun () -> t.ticks)
-let posted_batches t = Mutex.protect t.mutex (fun () -> t.posted_batches)

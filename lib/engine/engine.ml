@@ -52,6 +52,9 @@ type t = {
   mutable local_arcs : int;
   mutable distributed_txns : int;
   mutable on_step : (int -> Step.t -> Si.outcome -> unit) option;
+  (* Fires on each non-empty broadcast round with the step count; the
+     differential compares the rounds with the single-node log. *)
+  mutable on_deletion : (int -> Intset.t -> unit) option;
 }
 
 let create cfg =
@@ -75,12 +78,14 @@ let create cfg =
     local_arcs = 0;
     distributed_txns = 0;
     on_step = None;
+    on_deletion = None;
   }
 
 let steps_processed t = t.steps
 let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let coordinator t = t.coordinator
+let admission t = t.admission
 let partitioner t = t.cfg.partitioner
 
 let shard_residents t =
@@ -160,7 +165,8 @@ let apply_accepted t ~index step =
 let broadcast_deletions t deleted =
   if not (Intset.is_empty deleted) then begin
     Array.iter (fun sh -> ignore (Shard.apply_global_deletions sh deleted)) t.shards;
-    Intset.iter (fun txn -> Hashtbl.remove t.hosting txn) deleted
+    Intset.iter (fun txn -> Hashtbl.remove t.hosting txn) deleted;
+    match t.on_deletion with None -> () | Some f -> f t.steps deleted
   end
 
 let reject t step =
@@ -349,6 +355,7 @@ type differential_report = {
   d_steps : int;
   d_shards : int;
   outcome_mismatches : (int * string * string) list;
+  deletion_mismatches : (int * string * string) list;
   residency_violations : (int * int * int * int) list;
   store_mismatches : (int * int * int) list;
   committed_engine : int;
@@ -387,7 +394,27 @@ let differential ?oracle ?partitioner ?gc_index ~shards ~batch ~policy steps =
             (index, k, r, st.resident_txns) :: !residency_violations)
       eng.shards
   in
+  let rounds = ref [] in
+  eng.on_deletion <- Some (fun index set -> rounds := (index, set) :: !rounds);
   let rep = run ~on_step eng steps in
+  (* Broadcast GC: the engine's non-empty rounds must be the single-node
+     scheduler's deletions, round for round and step for step. *)
+  let show = function
+    | [] -> "(none)"
+    | (index, set) :: _ ->
+        Printf.sprintf "step %d {%s}" index
+          (String.concat "," (List.map string_of_int (Intset.to_sorted_list set)))
+  in
+  let rest = function [] -> [] | _ :: r -> r in
+  let rec cmp_rounds i = function
+    | [], [] -> []
+    | (ei, es) :: er, (si, ss) :: sr when ei = si && Intset.equal es ss ->
+        cmp_rounds (i + 1) (er, sr)
+    | e, s -> (i, show e, show s) :: cmp_rounds (i + 1) (rest e, rest s)
+  in
+  let deletion_mismatches =
+    cmp_rounds 0 (List.rev !rounds, Cs.deleted_log single)
+  in
   let store_mismatches = ref [] in
   Intset.iter
     (fun entity ->
@@ -402,6 +429,7 @@ let differential ?oracle ?partitioner ?gc_index ~shards ~batch ~policy steps =
     d_steps = rep.steps;
     d_shards = shards;
     outcome_mismatches = List.rev !outcome_mismatches;
+    deletion_mismatches;
     residency_violations = List.rev !residency_violations;
     store_mismatches = List.rev !store_mismatches;
     committed_engine = rep.committed;
@@ -414,6 +442,7 @@ let differential ?oracle ?partitioner ?gc_index ~shards ~batch ~policy steps =
 
 let differential_ok d =
   d.outcome_mismatches = []
+  && d.deletion_mismatches = []
   && d.residency_violations = []
   && d.store_mismatches = []
   && d.committed_engine = d.committed_single
@@ -422,12 +451,14 @@ let differential_ok d =
 let pp_differential ppf d =
   Format.fprintf ppf
     "@[<v>differential: %d steps over %d shards@ \
-     outcome mismatches: %d@ residency violations: %d@ \
+     outcome mismatches: %d@ deletion mismatches: %d@ \
+     residency violations: %d@ \
      store mismatches: %d@ committed: engine %d / single %d@ \
      aborted: engine %d / single %d@ \
      shard residency peak %d vs single-node peak %d@]"
     d.d_steps d.d_shards
     (List.length d.outcome_mismatches)
+    (List.length d.deletion_mismatches)
     (List.length d.residency_violations)
     (List.length d.store_mismatches)
     d.committed_engine d.committed_single d.aborted_engine d.aborted_single

@@ -23,6 +23,8 @@
     - {e Residency}: each shard's resident-transaction count never
       exceeds the single-node scheduler's at the same step (broadcast
       GC gives <=; local GC usually does strictly better).
+    - {e Deletions}: every non-empty broadcast-GC round deletes the
+      same set, at the same step, as the single-node scheduler.
     - {e Data}: each entity's value in its owning shard's store equals
       the single-node store's.
 
@@ -68,8 +70,9 @@ val submit : t -> Dct_txn.Step.t -> unit
     fills one. *)
 
 val tick : t -> unit
-(** Flush and process the pending partial batch (the group-commit
-    timer). *)
+(** Flush and process the pending partial batch.  The caller decides
+    when: the network server ticks when its input drains, {!finish} at
+    end of input. *)
 
 val pending : t -> int
 (** Steps sitting in the admission queue, not yet decided. *)
@@ -93,6 +96,9 @@ val steps_processed : t -> int
 val shard_count : t -> int
 val shard : t -> int -> Shard.t
 val coordinator : t -> Coordinator.t
+val admission : t -> Admission.t
+(** The admission queue, for its live counters. *)
+
 val partitioner : t -> Partitioner.t
 
 val shard_residents : t -> int array
@@ -150,6 +156,10 @@ type differential_report = {
   d_shards : int;
   outcome_mismatches : (int * string * string) list;
       (** (step index, engine outcome, single-node outcome) *)
+  deletion_mismatches : (int * string * string) list;
+      (** (round, engine round, single-node round): the [round]-th
+          non-empty broadcast-GC round, as step index and deleted set,
+          against the single-node scheduler's [deleted_log] *)
   residency_violations : (int * int * int * int) list;
       (** (step index, shard, shard resident, single-node resident) *)
   store_mismatches : (int * int * int) list;
@@ -173,7 +183,8 @@ val differential :
   differential_report
 (** Run the engine and a fresh single-node SGT scheduler (same policy)
     over the same step sequence in lock-step and compare: per-step
-    outcomes, per-shard residency against single-node residency at the
+    outcomes, every non-empty broadcast-GC round (step index and deleted
+    set), per-shard residency against single-node residency at the
     same step, and final store contents entity by entity.  [gc_index]
     applies to every GC site on both sides (coordinator, shards, and
     the reference scheduler), so [Checked] turns this into a

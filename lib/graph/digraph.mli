@@ -8,7 +8,7 @@
     than the historical id space.
 
     The structure is deliberately small: reachability, ordering and
-    closure maintenance live in {!Traversal}, {!Order} and {!Closure}. *)
+    closure maintenance live in {!Traversal}, {!Topo_order} and {!Closure}. *)
 
 type t
 

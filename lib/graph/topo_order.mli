@@ -10,8 +10,7 @@
     [O(affected region)] instead of [O(V + E)]; insertions already in
     order cost [O(1)].
 
-    Unlike {!Order} (the minimal checker benchmarked in EX11), this
-    module supports everything {!Cycle_oracle} needs: reachability
+    It supports everything {!Cycle_oracle} needs: reachability
     queries clipped by rank, cycle witnesses, deep copies, and both
     flavours of node removal.  Removals never invalidate a topological
     order, which is why this backend wins on deletion-heavy workloads —

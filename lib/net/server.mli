@@ -54,6 +54,4 @@ val stop : t -> unit
 val finish : t -> wall_seconds:float -> Dct_engine.Engine.report
 (** Run the backend's end-of-input epilogue (final GC rounds, tracer
     flush) and report.  Call once, after {!stop} or after all clients
-    have drained.
-    @raise Dct_engine.Parallel.Shard_failure if a parallel shard
-    applier died. *)
+    have drained. *)

@@ -112,10 +112,10 @@ let histo_buckets t name =
           ( (if i < Array.length bounds then bounds.(i) else infinity),
             h.counts.(i) ))
 
-(* Fold a per-domain registry into an aggregate one.  Counters and
+(* Fold a per-thread registry into an aggregate one.  Counters and
    histogram buckets are additive; gauges keep the maximum of both
-   values and both high-water marks (a per-domain gauge is a residency
-   sample, and the merged registry answers "how high did any domain
+   values and both high-water marks (a per-thread gauge is a residency
+   sample, and the merged registry answers "how high did any thread
    get"). *)
 let merge ~into src =
   Hashtbl.iter

@@ -10,8 +10,8 @@ type t =
   | Channel of out_channel
   | Locked of locked
       (** Mutex-serialized wrapper: whole JSONL lines, never interleaved
-          mid-record — required whenever more than one domain can emit
-          (e.g. [dct serve --trace --domains N>1]). *)
+          mid-record — required whenever more than one domain or thread
+          can emit. *)
 
 and locked = { mutex : Mutex.t; inner : t }
 

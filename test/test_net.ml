@@ -8,8 +8,9 @@
 
    - TYPED REJECTIONS: truncated, oversized, negative-length, bad-tag,
      trailing-byte and garbage-line inputs each map to their typed
-     {!Dct_net.Wire.error} — decoding never raises, and [Truncated]
-     is reserved for valid-prefix-needs-more-bytes.
+     {!Dct_net.Wire.error}, and [Truncated] is reserved for
+     valid-prefix-needs-more-bytes.  Decoding never raises, on any
+     bytes at any offset (QCheck).
 
    - SERVER ROBUSTNESS: a mid-frame disconnect or an oversized frame
      costs only that connection (counted in [protocol_errors]); other
@@ -23,12 +24,11 @@
      never strands another client's pending step.
 
    - LOOPBACK DIFFERENTIAL (the tentpole guarantee): a workload-mix
-     schedule fed through socket + server + admission into the
-     sequential and the parallel engine produces the exact outcome
-     sequence and a byte-identical JSONL trace (decisions, deletion
-     rounds, checkpoints) as the same engine fed in-process with the
-     served run's batch boundaries — the network layer adds
-     transport, never behavior.
+     schedule fed through socket + server + admission into the engine
+     produces the exact outcome sequence and a byte-identical JSONL
+     trace (decisions, deletion rounds, checkpoints) as the same engine
+     fed in-process with the served run's batch boundaries — the
+     network layer adds transport, never behavior.
 
    - DRIVER: the closed-loop multi-client driver accounts for every
      transaction and lands every op latency in the merged histograms.
@@ -47,7 +47,6 @@ module Mix = Dct_workload.Mix
 module Step = Dct_txn.Step
 module Sched = Dct_sched.Scheduler_intf
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 module Policy = Dct_deletion.Policy
 module Tracer = Dct_telemetry.Tracer
 module Sink = Dct_telemetry.Sink
@@ -147,6 +146,67 @@ let prop_request_stream =
                 (Wire.error_to_string e)
       in
       go 0 [] = reqs)
+
+(* Decoding arbitrary bytes never raises: every call returns a typed
+   [Ok]/[Error], and an [Ok] frame ends inside the input.  Inputs mix
+   raw bytes, binary headers with a leading zero byte and an arbitrary
+   (often huge or mismatched) length, correct headers over arbitrary
+   payloads, line-dialect word salad, and valid frames with one byte
+   corrupted or the tail cut off. *)
+let gen_hostile_bytes =
+  let be32 n =
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  QCheck.Gen.(
+    let bytes = string_size (int_range 0 48) ~gen:char in
+    oneof
+      [
+        bytes;
+        map2
+          (fun hdr payload -> "\000" ^ hdr ^ payload)
+          (string_size (return 3) ~gen:char)
+          bytes;
+        map (fun payload -> be32 (String.length payload) ^ payload) bytes;
+        map
+          (fun words -> String.concat " " words ^ "\n")
+          (list_size (int_range 0 6)
+             (oneofl
+                [ "begin"; "read"; "write"; "complete"; "abort"; "stats";
+                  "outcome"; "accepted"; "error"; "0"; "-1"; "99999999999999999999";
+                  "x"; ""; "\r"; "\000" ]));
+        map3
+          (fun frame k c ->
+            let n = String.length frame in
+            if k mod 2 = 0 then String.sub frame 0 (k mod n)
+            else String.mapi (fun i ch -> if i = k mod n then c else ch) frame)
+          (oneof
+             [
+               map2 Wire.encode_request (oneofl dialects) gen_request;
+               map2 Wire.encode_response (oneofl dialects) gen_response;
+             ])
+          nat char;
+      ])
+
+let prop_decode_total =
+  QCheck.Test.make ~count:2000
+    ~name:"decoders are total on arbitrary bytes, both dialects"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_hostile_bytes)
+    (fun input ->
+      let len = String.length input in
+      let total decode =
+        List.for_all
+          (fun pos ->
+            match decode input ~pos with
+            | Ok (_, next) -> next > pos && next <= len
+            | Error (_ : Wire.error) -> true
+            | exception e ->
+                QCheck.Test.fail_reportf "raised %s at pos %d"
+                  (Printexc.to_string e) pos)
+          (List.init (len + 1) Fun.id)
+      in
+      List.for_all
+        (fun d -> total (Wire.decode_request d) && total (Wire.decode_response d))
+        dialects)
 
 (* --- buffered frame IO over a real socket --- *)
 
@@ -588,8 +648,7 @@ let test_protocol_error_releases_flush () =
 (* --- the loopback differential --- *)
 
 (* Oracle events carry an ["ns"] wall-clock field no transport
-   controls; scrub it before comparing traces (same idiom as the
-   parallel engine's differential). *)
+   controls; scrub it before comparing traces. *)
 let scrub_timings line =
   let b = Buffer.create (String.length line) in
   let n = String.length line in
@@ -662,30 +721,17 @@ let batch_boundaries trace =
    socket chunked the stream; replaying those boundaries makes the
    reference's batch cadence (and with it every checkpoint and GC
    round) the served run's. *)
-let run_reference ~boundaries backend_mode steps =
+let run_reference ~boundaries steps =
   let cfg, buf = traced_config () in
   let outcomes = ref [] in
-  let on_step idx _step o = outcomes := (idx, o) :: !outcomes in
-  let submit, tick, finish =
-    match backend_mode with
-    | None ->
-        let eng = Eng.create cfg in
-        Eng.set_on_step eng (Some on_step);
-        ( Eng.submit eng,
-          (fun () -> Eng.tick eng),
-          fun () -> Eng.finish eng ~wall_seconds:0.0 )
-    | Some mode ->
-        let h = Par.create_handle ~mode ~on_decision:on_step cfg in
-        ( Par.submit h,
-          (fun () -> Par.tick h),
-          fun () -> (Par.finish h ~wall_seconds:0.0).Par.base )
-  in
+  let eng = Eng.create cfg in
+  Eng.set_on_step eng (Some (fun idx _step o -> outcomes := (idx, o) :: !outcomes));
   List.iteri
     (fun i s ->
-      submit s;
-      if List.mem (i + 1) boundaries then tick ())
+      Eng.submit eng s;
+      if List.mem (i + 1) boundaries then Eng.tick eng)
     steps;
-  let report = finish () in
+  let report = Eng.finish eng ~wall_seconds:0.0 in
   { s_outcomes = List.rev !outcomes; s_trace = Buffer.contents buf;
     s_report = report }
 
@@ -693,13 +739,9 @@ let run_reference ~boundaries backend_mode steps =
    sends every step, then a Stats request — the server flushes any
    trailing partial batch before answering it, exactly where the
    in-process run's end-of-input tick happens. *)
-let run_via_server ~name backend_mode steps =
+let run_via_server ~name steps =
   let cfg, buf = traced_config () in
-  let backend ~on_step =
-    match backend_mode with
-    | None -> Backend.seq ~on_step cfg
-    | Some mode -> Backend.parallel ~mode ~on_step cfg
-  in
+  let backend ~on_step = Backend.seq ~on_step cfg in
   let srv = Server.create ~backend (Addr.Unix_path (sock_path name)) in
   Server.start srv;
   let cl = Client.connect (Server.addr srv) in
@@ -741,12 +783,10 @@ let aggregate (r : Eng.report) =
     r.Eng.coordinator.Dct_engine.Coordinator.deleted_total,
     r.Eng.coordinator.Dct_engine.Coordinator.resident_hwm )
 
-let loopback_differential ~label ~mix backend_mode =
+let loopback_differential ~label ~mix =
   let steps = Mix.schedule mix ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
-  let net = run_via_server ~name:label backend_mode steps in
-  let reference =
-    run_reference ~boundaries:(batch_boundaries net.s_trace) backend_mode steps
-  in
+  let net = run_via_server ~name:label steps in
+  let reference = run_reference ~boundaries:(batch_boundaries net.s_trace) steps in
   check_int
     (label ^ ": one outcome per step")
     (List.length steps)
@@ -767,37 +807,10 @@ let loopback_differential ~label ~mix backend_mode =
     Alcotest.failf "%s: report aggregates diverged" label
 
 let test_differential_seq_ycsb_b () =
-  loopback_differential ~label:"seq-ycsb-b" ~mix:Mix.Ycsb_b None
+  loopback_differential ~label:"seq-ycsb-b" ~mix:Mix.Ycsb_b
 
 let test_differential_seq_long_reader () =
-  loopback_differential ~label:"seq-long-reader" ~mix:Mix.Long_reader_pin None
-
-let test_differential_par_ycsb_b () =
-  loopback_differential ~label:"par-ycsb-b" ~mix:Mix.Ycsb_b
-    (Some (Par.Replay 3))
-
-let test_differential_par_long_reader () =
-  loopback_differential ~label:"par-long-reader" ~mix:Mix.Long_reader_pin
-    (Some (Par.Replay 3))
-
-(* Real applier domains behind the server: the replay runs above pin
-   byte equality; this pins that actual [Domain.spawn] appliers behave
-   identically (the determinism contract makes the replay reference
-   valid for a domains run). *)
-let test_differential_domains () =
-  let steps = Mix.schedule Mix.Ycsb_b ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
-  let net = run_via_server ~name:"domains" (Some Par.Domains) steps in
-  let reference =
-    run_reference ~boundaries:(batch_boundaries net.s_trace)
-      (Some (Par.Replay 5)) steps
-  in
-  check "domains outcomes == replay reference" true
-    (net.s_outcomes = reference.s_outcomes);
-  (match first_trace_divergence net.s_trace reference.s_trace with
-  | None -> ()
-  | Some d -> Alcotest.failf "domains trace diverged: %s" d);
-  check "domains aggregates == replay reference" true
-    (aggregate net.s_report = aggregate reference.s_report)
+  loopback_differential ~label:"seq-long-reader" ~mix:Mix.Long_reader_pin
 
 (* --- the closed-loop driver --- *)
 
@@ -985,6 +998,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_stream;
           QCheck_alcotest.to_alcotest prop_io_chunked;
+          QCheck_alcotest.to_alcotest prop_decode_total;
           Alcotest.test_case "io buffering and has_frame" `Quick
             test_io_buffering;
           Alcotest.test_case "binary typed rejections" `Quick test_binary_errors;
@@ -1021,12 +1035,6 @@ let () =
             test_differential_seq_ycsb_b;
           Alcotest.test_case "seq engine, long-reader-pin" `Quick
             test_differential_seq_long_reader;
-          Alcotest.test_case "parallel engine (replay), ycsb-b" `Quick
-            test_differential_par_ycsb_b;
-          Alcotest.test_case "parallel engine (replay), long-reader-pin" `Quick
-            test_differential_par_long_reader;
-          Alcotest.test_case "parallel engine (domains)" `Quick
-            test_differential_domains;
         ] );
       ( "driver",
         [

@@ -30,6 +30,7 @@ module Tracer = Dct_telemetry.Tracer
 module Probe = Dct_telemetry.Probe
 
 let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 (* --- event encoding --- *)
 
@@ -409,6 +410,82 @@ let test_audit_of_telemetry () =
             (report.Dct_analysis.Audit.steps > 0))
     [ Policy.Greedy_c1; Policy.Exact_max; Policy.Noncurrent ]
 
+(* --- locked sink: no mid-record interleaving under concurrent domains --- *)
+
+let test_locked_sink_concurrent () =
+  let buf = Buffer.create 4096 in
+  let sink = Sink.locked (Sink.memory buf) in
+  let n_domains = 4 and per_domain = 200 in
+  let emitters =
+    List.init n_domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              Sink.emit sink
+                (E.Decision
+                   {
+                     index = (d * per_domain) + i;
+                     txn = d;
+                     outcome = "accepted";
+                     reason = "";
+                   })
+            done))
+  in
+  List.iter Domain.join emitters;
+  Sink.flush sink;
+  (* Every line parses (nothing interleaved mid-record) and every event
+     arrived exactly once. *)
+  match Sink.parse_string (Buffer.contents buf) with
+  | Error e -> Alcotest.failf "interleaved trace: %s" e
+  | Ok events ->
+      check_int "every event intact" (n_domains * per_domain)
+        (List.length events);
+      let seen = Hashtbl.create 1024 in
+      List.iter
+        (function
+          | E.Decision { index; _ } ->
+              if Hashtbl.mem seen index then
+                Alcotest.failf "event %d duplicated" index;
+              Hashtbl.replace seen index ()
+          | _ -> Alcotest.fail "unexpected event shape")
+        events;
+      check_int "no event lost" (n_domains * per_domain)
+        (Hashtbl.length seen)
+
+let test_locked_sink_idempotent () =
+  check "Null stays Null" true (Sink.locked Sink.null = Sink.null);
+  let buf = Buffer.create 16 in
+  let once = Sink.locked (Sink.memory buf) in
+  (match Sink.locked once with
+  | Sink.Locked { inner = Sink.Memory _; _ } -> ()
+  | _ -> Alcotest.fail "double-locking nested the wrapper")
+
+(* --- Metrics.merge arithmetic --- *)
+
+let test_metrics_merge () =
+  let a = Metrics.create () and b = Metrics.create () in
+  Metrics.incr a "net.ops" ~by:10;
+  Metrics.incr b "net.ops" ~by:32;
+  Metrics.incr b "net.errors";
+  Metrics.gauge a "resident" 4;
+  Metrics.gauge a "resident" 2;
+  Metrics.gauge b "resident" 3;
+  Metrics.observe a "lat" 100.0;
+  Metrics.observe a "lat" 100.0;
+  Metrics.observe b "lat" 1_000_000.0;
+  Metrics.merge ~into:a b;
+  check_int "counters add" 42 (Metrics.counter a "net.ops");
+  check_int "absent counter copied" 1 (Metrics.counter a "net.errors");
+  check_int "gauge keeps max value" 3 (Metrics.gauge_value a "resident");
+  check_int "gauge keeps max hwm" 4 (Metrics.high_water a "resident");
+  check_int "histogram counts add" 3 (Metrics.histo_count a "lat");
+  check "histogram mean weighted" true
+    (abs_float (Metrics.histo_mean a "lat" -. ((100.0 +. 100.0 +. 1_000_000.0) /. 3.0))
+     < 1e-6);
+  (* merge is the no-op identity on an empty source *)
+  let before = Metrics.counter a "net.ops" in
+  Metrics.merge ~into:a (Metrics.create ());
+  check_int "empty merge is identity" before (Metrics.counter a "net.ops")
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -440,5 +517,14 @@ let () =
         [
           Alcotest.test_case "trace re-feeds the auditor" `Quick
             test_audit_of_telemetry;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "locked sink: no mid-record interleaving" `Quick
+            test_locked_sink_concurrent;
+          Alcotest.test_case "locked sink: idempotent wrap" `Quick
+            test_locked_sink_idempotent;
+          Alcotest.test_case "Metrics.merge arithmetic" `Quick
+            test_metrics_merge;
         ] );
     ]
